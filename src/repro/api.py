@@ -36,8 +36,10 @@ Build a synthetic market     :func:`generate_round` /
                              :class:`MarketConfig`
 Pick the payment rule        :class:`PaymentRule` (keyword
                              ``payment_rule=``)
-Scale the payment phase      keyword ``parallelism=`` on
-                             :func:`run_ssam` / :func:`run_msoa`
+Scale the payment phase      the default ``engine="columnar"``
+                             batches every winner's payment; keyword
+                             ``parallelism=`` pools them on
+                             ``engine="fast"``
 Compare vs the exact optimum :func:`solve_wsp_optimal`
 Persist / reload results     :meth:`AuctionOutcome.to_dict` /
                              :meth:`AuctionOutcome.from_dict` (same for
@@ -55,9 +57,10 @@ Inject faults / recover      :class:`FaultPlan` via keyword ``faults=``
 ===========================  ==========================================
 
 Mechanism options are keyword-only and share one vocabulary everywhere:
-``payment_rule=``, ``parallelism=`` (``"auto"`` by default — serial on
-small instances, pooled on large ones), ``guard=``, ``engine=``, and
-(for online runs) ``faults=``, ``resilience=``.
+``payment_rule=``, ``parallelism=`` (``engine="fast"`` only; ``"auto"``
+by default — serial on small instances, pooled on large ones),
+``guard=``, ``engine=`` (``"columnar"`` by default), and (for online
+runs) ``faults=``, ``resilience=``.
 
 .. deprecated:: 1.2
     Wiring sellers and buyers directly into

@@ -22,7 +22,7 @@ __all__ = ["PayAsBidResult", "run_pay_as_bid"]
 
 
 def run_pay_as_bid(
-    instance: WSPInstance, *, engine: str = "fast"
+    instance: WSPInstance, *, engine: str = "columnar"
 ) -> AuctionOutcome:
     """Greedy winner selection, pay-as-bid payments.
 

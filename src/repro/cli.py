@@ -5,7 +5,7 @@ Usage::
     repro-edge-auction list                  # show available experiments
     repro-edge-auction fig 3a                # regenerate Figure 3(a)
     repro-edge-auction fig all --quick       # all figures, reduced sweep
-    repro-edge-auction fig 4b --parallelism 8  # parallel payment replays
+    repro-edge-auction fig 4b --engine fast --parallelism 8  # pooled payments
     repro-edge-auction bench                 # engine perf harness
     repro-edge-auction quickstart            # a tiny end-to-end demo
     repro-edge-auction mechanisms            # list the mechanism registry
@@ -70,7 +70,7 @@ def _cmd_fig(args: argparse.Namespace) -> int:
     config = QUICK if args.quick else FULL
     if args.parallelism != config.parallelism:
         config = dataclasses.replace(config, parallelism=args.parallelism)
-    if args.engine != "fast":
+    if args.engine != config.engine:
         config = dataclasses.replace(config, engine=args.engine)
     if args.trace or args.metrics:
         from repro.obs import ObservabilityConfig
@@ -597,14 +597,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parallelism_arg,
         default="auto",
         metavar="N|auto",
-        help="worker processes for critical-payment replays: an integer, "
-        "or 'auto' (default) to size the pool from each instance",
+        help="worker processes for critical-payment replays on --engine "
+        "fast: an integer, or 'auto' (default) to size the pool from each "
+        "instance (the other engines never open a pool)",
     )
     fig.add_argument(
         "--engine",
         choices=("fast", "reference", "columnar"),
-        default="fast",
-        help="selection engine for every mechanism run (default fast)",
+        default="columnar",
+        help="selection engine for every mechanism run (default columnar)",
     )
     _add_faults_flag(
         fig,
@@ -719,8 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--engine",
         choices=("fast", "reference", "columnar"),
-        default="fast",
-        help="clearing engine for mechanisms that accept one (default fast)",
+        default="columnar",
+        help="clearing engine for mechanisms that accept one (default columnar)",
     )
     serve.add_argument(
         "--shards", type=int, default=1, metavar="K",
@@ -787,7 +788,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for critical-payment replays (default 1)",
+        help="worker processes for the fast engine's critical-payment "
+        "replays (default 1)",
     )
     bench.add_argument(
         "--out",

@@ -12,13 +12,14 @@ the greedy machinery on flat numpy arrays:
   and a seller×buyer coverage matrix for the stranding guard.  Built
   once from ``(bids, demand)``; re-pricing (MSOA's ψ-scaled rounds)
   shares every structural array via :meth:`ColumnarInstance.with_bids`.
-* :class:`ColumnarState` — the mutable per-run arrays (granted units,
+* :class:`ColumnarState` — the mutable per-run arrays (residual demand,
   active mask, marginal utilities, supplier counts).  ``fork()`` is a
   handful of ``ndarray.copy()`` calls, which is what makes the batched
   payment kernel cheap.
 * :func:`columnar_greedy_selection` — the greedy selection loop as
   vectorized candidate scans (``lexsort`` over the exact reference key
-  ``(ratio, price, seller, index)``).
+  ``(ratio, price, seller, index)``; on large markets only over the
+  head of the candidates, found with ``np.partition``).
 * :func:`columnar_critical_payments` — a batched critical-value kernel.
   For a winner chosen at main-run iteration ``k``, the +∞-replay of
   :func:`repro.core.ssam._critical_payment` provably follows the main
@@ -40,14 +41,17 @@ in the tens while bids number in the thousands-to-hundreds-of-thousands
 — so dense ``n_bids × n_buyers`` and ``n_sellers × n_buyers`` masks are
 deliberately used for the guard probes; memory is linear in ``n·B``.
 
-Use ``run_ssam(..., engine="columnar")`` rather than calling these
-directly.
+This is the default engine: use ``run_ssam(...)`` (or
+:class:`~repro.core.msoa.MultiStageOnlineAuction`, which carries the
+layout across rounds in a :class:`LayoutCache`) rather than calling
+these directly.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -61,6 +65,7 @@ from repro.obs.runtime import STATE as _OBS
 __all__ = [
     "ColumnarInstance",
     "ColumnarState",
+    "LayoutCache",
     "columnar_greedy_selection",
     "columnar_critical_payments",
     "structure_fingerprint",
@@ -81,6 +86,20 @@ def structure_fingerprint(
         tuple((b.seller, b.index, b.covered) for b in bids),
         tuple(demand.items()),
     )
+
+
+def group_rows(labels: np.ndarray, n_groups: int) -> list[np.ndarray]:
+    """Rows of each label ``0..n_groups-1``, ascending within a group.
+
+    Equal to ``[np.flatnonzero(labels == g) for g in range(n_groups)]``
+    but in O(n log n): one stable sort of the labels, split at the
+    group boundaries.
+    """
+    if n_groups == 0:
+        return []
+    order = np.argsort(labels, kind="stable")
+    bounds = np.cumsum(np.bincount(labels, minlength=n_groups)).tolist()
+    return [order[a:b] for a, b in zip([0, *bounds[:-1]], bounds)]
 
 
 class ColumnarInstance:
@@ -110,7 +129,8 @@ class ColumnarInstance:
         "initial_utilities",
         "initial_suppliers",
         "row_of",
-        "fingerprint",
+        "key_rank",
+        "_fingerprint",
     )
 
     def __init__(self, **fields) -> None:
@@ -128,7 +148,6 @@ class ColumnarInstance:
         bids = tuple(bids)
         n = len(bids)
         buyers = [int(b) for b in demand]
-        buyer_pos = {buyer: j for j, buyer in enumerate(buyers)}
         n_buyers = len(buyers)
         demand_arr = np.fromiter(
             (demand[b] for b in buyers), dtype=np.int64, count=n_buyers
@@ -142,45 +161,26 @@ class ColumnarInstance:
         bid_indices = np.fromiter(
             (b.index for b in bids), dtype=np.int64, count=n
         )
-        sellers, seller_rows = np.unique(seller_ids, return_inverse=True)
-        seller_rows = seller_rows.astype(np.int64)
-        n_sellers = sellers.size
-
-        cover_indptr = np.zeros(n + 1, dtype=np.int64)
-        cols_per_bid: list[list[int]] = []
-        for i, bid in enumerate(bids):
-            cols = sorted(
-                buyer_pos[b] for b in bid.covered if b in buyer_pos
-            )
-            cols_per_bid.append(cols)
-            cover_indptr[i + 1] = cover_indptr[i] + len(cols)
-        cover_cols = np.fromiter(
-            (c for cols in cols_per_bid for c in cols),
+        sizes = np.fromiter(
+            (len(b.covered) for b in bids), dtype=np.int64, count=n
+        )
+        covered = np.fromiter(
+            chain.from_iterable(b.covered for b in bids),
             dtype=np.int64,
-            count=int(cover_indptr[-1]),
+            count=int(sizes.sum()),
         )
         cover = np.zeros((n, n_buyers), dtype=bool)
-        rows_rep = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(cover_indptr)
-        )
-        cover[rows_rep, cover_cols] = True
-
-        covering_rows: list[np.ndarray] = [
-            np.flatnonzero(cover[:, j]) for j in range(n_buyers)
-        ]
-        seller_bid_rows: list[np.ndarray] = [
-            np.flatnonzero(seller_rows == s) for s in range(n_sellers)
-        ]
-        seller_cov = np.zeros((n_sellers, n_buyers), dtype=bool)
-        np.logical_or.at(seller_cov, seller_rows, cover)
-
-        positive = demand_arr > 0
-        initial_utilities = (cover & positive[None, :]).sum(
-            axis=1, dtype=np.int64
-        )
-        initial_suppliers = seller_cov.sum(axis=0, dtype=np.int64)
-
-        return cls(
+        if n_buyers and covered.size:
+            # Map buyer ids to demand-map columns; buyers outside the
+            # demand map (zero demand) drop out of the layout.
+            buyer_ids = np.asarray(buyers, dtype=np.int64)
+            by_id = np.argsort(buyer_ids)
+            slot = np.searchsorted(buyer_ids, covered, sorter=by_id)
+            cols = by_id[np.minimum(slot, n_buyers - 1)]
+            known = buyer_ids[cols] == covered
+            rows = np.repeat(np.arange(n, dtype=np.int64), sizes)
+            cover[rows[known], cols[known]] = True
+        return cls._assemble(
             bids=bids,
             demand_map=dict(demand),
             buyers=buyers,
@@ -188,19 +188,62 @@ class ColumnarInstance:
             prices=prices,
             seller_ids=seller_ids,
             bid_indices=bid_indices,
+            cover=cover,
+        )
+
+    @classmethod
+    def _assemble(
+        cls,
+        *,
+        cover: np.ndarray,
+        demand: np.ndarray,
+        seller_ids: np.ndarray,
+        bid_indices: np.ndarray,
+        **columns,
+    ) -> "ColumnarInstance":
+        """Derive every index array from the dense cover mask."""
+        n, n_buyers = cover.shape
+        sellers, seller_rows = np.unique(seller_ids, return_inverse=True)
+        seller_rows = seller_rows.astype(np.int64, copy=False)
+        cover_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(cover.sum(axis=1, dtype=np.int64), out=cover_indptr[1:])
+        # np.nonzero walks row-major: columns arrive grouped by row in
+        # ascending column order, which is the CSR layout.
+        cover_cols = cover.nonzero()[1].astype(np.int64, copy=False)
+        seller_cov = np.zeros((sellers.size, n_buyers), dtype=bool)
+        np.logical_or.at(seller_cov, seller_rows, cover)
+        positive = demand > 0
+        keys = zip(seller_ids.tolist(), bid_indices.tolist())
+        return cls(
+            **columns,
+            demand=demand,
+            seller_ids=seller_ids,
+            bid_indices=bid_indices,
             seller_rows=seller_rows,
             sellers=sellers,
             cover=cover,
             cover_indptr=cover_indptr,
             cover_cols=cover_cols,
-            covering_rows=covering_rows,
-            seller_bid_rows=seller_bid_rows,
+            covering_rows=[cover[:, j].nonzero()[0] for j in range(n_buyers)],
+            seller_bid_rows=group_rows(seller_rows, sellers.size),
             seller_cov=seller_cov,
-            initial_utilities=initial_utilities,
-            initial_suppliers=initial_suppliers,
-            row_of={bid.key: i for i, bid in enumerate(bids)},
-            fingerprint=structure_fingerprint(bids, demand),
+            initial_utilities=(cover & positive[None, :]).sum(
+                axis=1, dtype=np.int64
+            ),
+            initial_suppliers=seller_cov.sum(axis=0, dtype=np.int64),
+            row_of=dict(zip(keys, range(n))),
+            key_rank=np.lexsort((bid_indices, seller_ids)).argsort(),
+            _fingerprint=None,
         )
+
+    @property
+    def fingerprint(self) -> tuple:
+        """:func:`structure_fingerprint` of this layout (computed once)."""
+        if self._fingerprint is None:
+            self._fingerprint = structure_fingerprint(
+                self.bids, self.demand_map
+            )
+        return self._fingerprint
 
     @property
     def n_bids(self) -> int:
@@ -270,77 +313,79 @@ class ColumnarInstance:
         except KeyError as exc:  # buyer not in the parent demand map
             raise ValueError(f"subset: unknown buyer {exc.args[0]}") from exc
         bids = tuple(self.bids[i] for i in rows)
-        n = len(bids)
-        n_buyers = cols.size
-        demand_arr = self.demand[cols].copy()
-        seller_ids = self.seller_ids[rows]
-        sellers, seller_rows = np.unique(seller_ids, return_inverse=True)
-        seller_rows = seller_rows.astype(np.int64)
         cover = (
             self.cover[np.ix_(rows, cols)]
-            if n and n_buyers
-            else np.zeros((n, n_buyers), dtype=bool)
+            if rows.size and cols.size
+            else np.zeros((rows.size, cols.size), dtype=bool)
         )
-        counts = cover.sum(axis=1, dtype=np.int64)
-        cover_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=cover_indptr[1:])
-        # np.nonzero walks row-major: columns arrive grouped by row in
-        # ascending column order — the CSR layout build() produces.
-        cover_cols = np.nonzero(cover)[1].astype(np.int64)
-        covering_rows = [np.flatnonzero(cover[:, j]) for j in range(n_buyers)]
-        seller_bid_rows = [
-            np.flatnonzero(seller_rows == s) for s in range(sellers.size)
-        ]
-        seller_cov = np.zeros((sellers.size, n_buyers), dtype=bool)
-        np.logical_or.at(seller_cov, seller_rows, cover)
-        positive = demand_arr > 0
-        initial_utilities = (cover & positive[None, :]).sum(
-            axis=1, dtype=np.int64
-        )
-        initial_suppliers = seller_cov.sum(axis=0, dtype=np.int64)
-        demand_map = {int(b): int(self.demand_map[int(b)]) for b in buyers}
-        return ColumnarInstance(
+        return ColumnarInstance._assemble(
             bids=bids,
-            demand_map=demand_map,
+            demand_map={
+                int(b): int(self.demand_map[int(b)]) for b in buyers
+            },
             buyers=[int(b) for b in buyers],
-            demand=demand_arr,
-            prices=self.prices[rows].copy(),
-            seller_ids=seller_ids,
+            demand=self.demand[cols],
+            prices=self.prices[rows],
+            seller_ids=self.seller_ids[rows],
             bid_indices=self.bid_indices[rows],
-            seller_rows=seller_rows,
-            sellers=sellers,
             cover=cover,
-            cover_indptr=cover_indptr,
-            cover_cols=cover_cols,
-            covering_rows=covering_rows,
-            seller_bid_rows=seller_bid_rows,
-            seller_cov=seller_cov,
-            initial_utilities=initial_utilities,
-            initial_suppliers=initial_suppliers,
-            row_of={bid.key: i for i, bid in enumerate(bids)},
-            fingerprint=structure_fingerprint(bids, demand_map),
         )
+
+
+class LayoutCache:
+    """One columnar layout carried across calls, re-priced on a match.
+
+    :meth:`layout` returns the carried layout re-priced via
+    :meth:`ColumnarInstance.with_bids` when the market's structure
+    (:func:`structure_fingerprint`) equals the previous call's, and
+    builds (and carries) a fresh one otherwise.  MSOA passes one to
+    every round's ``run_ssam(columnar=...)``: ψ only moves prices, so a
+    round whose structure repeats costs a price-column refresh instead
+    of a build.
+    """
+
+    __slots__ = ("_fingerprint", "_layout")
+
+    def __init__(self) -> None:
+        self._fingerprint: tuple | None = None
+        self._layout: ColumnarInstance | None = None
+
+    def layout(
+        self, bids: Sequence[Bid], demand: Mapping[int, int]
+    ) -> ColumnarInstance:
+        """The layout for ``(bids, demand)``; ``demand`` is positive."""
+        fingerprint = structure_fingerprint(bids, demand)
+        if self._layout is not None and fingerprint == self._fingerprint:
+            self._layout = self._layout.with_bids(bids)
+            outcome = "engine.columnar.cache_hits"
+        else:
+            self._layout = ColumnarInstance.build(bids, demand)
+            self._fingerprint = fingerprint
+            outcome = "engine.columnar.cache_misses"
+        if _OBS.enabled:
+            _OBS.metrics.counter(outcome).inc()
+        return self._layout
 
 
 class ColumnarState:
     """Mutable greedy-run state over a :class:`ColumnarInstance`.
 
     Mirrors :class:`~repro.core.wsp.CoverageState` +
-    :class:`~repro.core.wsp.ActiveBidIndex` exactly: ``granted`` may
-    overshoot demand (a winner covers an already-saturated buyer),
-    ``utilities`` only ever decrease, sellers leave the market
-    wholesale, and ``suppliers`` counts distinct in-market sellers with
-    any bid covering the buyer.
+    :class:`~repro.core.wsp.ActiveBidIndex` exactly: ``residual`` is
+    demand minus granted units and goes negative when a winner covers
+    an already-saturated buyer, so a buyer is unsatisfied exactly while
+    its residual is positive; ``utilities`` only ever decrease, sellers
+    leave the market wholesale, and ``suppliers`` counts distinct
+    in-market sellers with any bid covering the buyer.
     """
 
     __slots__ = (
         "inst",
         "prices",
-        "granted",
+        "residual",
         "active",
         "utilities",
         "suppliers",
-        "unsat",
         "unmet",
     )
 
@@ -349,11 +394,10 @@ class ColumnarState:
     ) -> None:
         self.inst = inst
         self.prices = inst.prices if prices is None else prices
-        self.granted = np.zeros(inst.n_buyers, dtype=np.int64)
+        self.residual = inst.demand.copy()
         self.active = np.ones(inst.n_bids, dtype=bool)
         self.utilities = inst.initial_utilities.copy()
         self.suppliers = inst.initial_suppliers.copy()
-        self.unsat = inst.demand > 0
         self.unmet = int(inst.demand.sum())
 
     def fork(self) -> "ColumnarState":
@@ -361,11 +405,10 @@ class ColumnarState:
         twin = ColumnarState.__new__(ColumnarState)
         twin.inst = self.inst
         twin.prices = self.prices
-        twin.granted = self.granted.copy()
+        twin.residual = self.residual.copy()
         twin.active = self.active.copy()
         twin.utilities = self.utilities.copy()
         twin.suppliers = self.suppliers.copy()
-        twin.unsat = self.unsat.copy()
         twin.unmet = self.unmet
         return twin
 
@@ -373,39 +416,37 @@ class ColumnarState:
     def satisfied(self) -> bool:
         return self.unmet == 0
 
+    @property
+    def granted(self) -> np.ndarray:
+        """Units granted per buyer column (may overshoot demand)."""
+        return self.inst.demand - self.residual
+
     def coverage_before(self) -> dict[int, int]:
         """Granted units per buyer, as the reference engine's dict."""
-        return {
-            buyer: int(units)
-            for buyer, units in zip(self.inst.buyers, self.granted)
-        }
+        return dict(zip(self.inst.buyers, self.granted.tolist()))
 
     def would_strand(self, row: int) -> bool:
         """Vector twin of :meth:`ActiveBidIndex.would_strand`.
 
         Accepting ``row`` consumes its seller; some unsatisfied buyer is
         stranded iff its residual demand exceeds the count of *other*
-        in-market sellers still covering it.
+        in-market sellers still covering it.  A buyer the bid leaves
+        with residual demand is necessarily unsatisfied now.
         """
         inst = self.inst
-        need = inst.demand - self.granted
-        need = need - inst.cover[row]
-        mask = self.unsat & (need > 0)
-        if not mask.any():
+        need = self.residual - inst.cover[row]
+        short = need > 0
+        if not np.count_nonzero(short):
             return False
         avail = self.suppliers - inst.seller_cov[inst.seller_rows[row]]
-        return bool(np.any(avail[mask] < need[mask]))
+        return bool(np.count_nonzero(short & (avail < need)))
 
     def would_strand_many(self, rows: np.ndarray) -> np.ndarray:
         """:meth:`would_strand` for many candidate rows in one shot."""
         inst = self.inst
-        need = (inst.demand - self.granted)[None, :] - inst.cover[rows]
-        mask = self.unsat[None, :] & (need > 0)
-        avail = (
-            self.suppliers[None, :]
-            - inst.seller_cov[inst.seller_rows[rows]]
-        )
-        return np.any(mask & (avail < need), axis=1)
+        need = self.residual - inst.cover[rows]
+        avail = self.suppliers - inst.seller_cov[inst.seller_rows[rows]]
+        return ((need > 0) & (avail < need)).any(axis=1)
 
     def apply_win(self, row: int) -> int:
         """Grant the bid's coverage; propagate utility decrements.
@@ -417,14 +458,13 @@ class ColumnarState:
         cols = inst.cover_cols[
             inst.cover_indptr[row] : inst.cover_indptr[row + 1]
         ]
-        was_unsat = self.unsat[cols]
-        gained = int(was_unsat.sum())
-        self.granted[cols] += 1
-        newly = cols[was_unsat & (self.granted[cols] >= inst.demand[cols])]
-        for buyer_col in newly:
-            self.unsat[buyer_col] = False
-            covering = inst.covering_rows[buyer_col]
-            self.utilities[covering] -= 1
+        residual = self.residual[cols]
+        self.residual[cols] = residual - 1
+        gained = int(np.count_nonzero(residual > 0))
+        for buyer_col in cols[residual == 1].tolist():
+            # The last missing unit of this buyer: every bid covering it
+            # loses a point of marginal utility.
+            self.utilities[inst.covering_rows[buyer_col]] -= 1
         self.unmet -= gained
         return gained
 
@@ -437,7 +477,7 @@ class ColumnarState:
     def active_bids(self) -> list[Bid]:
         """The in-market ``Bid`` objects, in submission order."""
         bids = self.inst.bids
-        return [bids[i] for i in np.flatnonzero(self.active)]
+        return [bids[i] for i in self.active.nonzero()[0]]
 
     def coverage_view(self) -> CoverageState:
         """A :class:`CoverageState` snapshot (exact-guard escalations)."""
@@ -446,26 +486,44 @@ class ColumnarState:
         )
 
 
+HEAD_CANDIDATES = 16
+"""Candidates a greedy step orders exactly on a large market.
+
+A step almost always takes one of its first few candidates, so when
+more than :data:`PARTIAL_ORDER_MIN` bids compete only the head of the
+order is sorted (see :func:`_choose`)."""
+
+PARTIAL_ORDER_MIN = 256
+"""Candidate count above which a step sorts only the head.  Below it a
+full ``lexsort`` costs no more than the partition that finds the head."""
+
+
 def _ordered_candidates(
-    state: ColumnarState,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate rows and their ratios, in exact reference order.
+    state: ColumnarState, head: int | None = None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Candidate rows and their ratios in exact reference order, and
+    the number of candidates.
 
     The reference engine sorts candidates by the tuple
     ``(ratio, price, seller, index)``; ``np.lexsort`` with the primary
     key last reproduces that ordering bit-for-bit (the ratios are the
-    same IEEE-754 divisions the reference performs).
+    same IEEE-754 divisions the reference performs, and ``key_rank``
+    is each row's position in ``(seller, index)`` order).  With
+    ``head`` and more than :data:`PARTIAL_ORDER_MIN` candidates, only
+    those whose ratio is at most the ``head + 1``-th smallest are
+    returned: every other candidate has a larger ratio, so these are
+    exactly the first entries of the full order, found in O(n) by
+    ``np.partition``.
     """
-    rows = np.flatnonzero(state.active & (state.utilities > 0))
-    if rows.size == 0:
-        return rows, np.empty(0, dtype=np.float64)
-    inst = state.inst
+    rows = (state.active & (state.utilities > 0)).nonzero()[0]
+    n_candidates = rows.size
     prices = state.prices[rows]
     ratios = prices / state.utilities[rows]
-    perm = np.lexsort(
-        (inst.bid_indices[rows], inst.seller_ids[rows], prices, ratios)
-    )
-    return rows[perm], ratios[perm]
+    if head is not None and n_candidates > max(PARTIAL_ORDER_MIN, head):
+        keep = (ratios <= np.partition(ratios, head)[head]).nonzero()[0]
+        rows, prices, ratios = rows[keep], prices[keep], ratios[keep]
+    perm = np.lexsort((state.inst.key_rank[rows], prices, ratios))
+    return rows[perm], ratios[perm], n_candidates
 
 
 def _guarded_choice(
@@ -474,14 +532,12 @@ def _guarded_choice(
     *,
     guard_feasibility: bool,
     exact_guard: bool,
-) -> int:
-    """Position of the chosen candidate within ``order``.
+) -> int | None:
+    """Position of the first guard-safe candidate within ``order``.
 
     Walks candidates in ascending key order, passing over the ones the
     stranding guard (and, when escalated, the exact residual-feasibility
-    check) rejects; if none is safe the guard is waived for the
-    iteration and the overall best is taken — exactly the reference
-    walk.
+    check) rejects; ``None`` when none in ``order`` is safe.
     """
     if not guard_feasibility:
         return 0
@@ -494,7 +550,35 @@ def _guarded_choice(
         ):
             continue
         return pos
-    return 0
+    return None
+
+
+def _choose(
+    state: ColumnarState, *, guard_feasibility: bool, exact_guard: bool
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """One greedy step's choice: ``(order, ratios, position, candidates)``.
+
+    ``order`` holds the chosen candidate and, when there is one, its
+    runner-up.  If no candidate is safe the guard is waived for the
+    iteration and the overall best is taken — exactly the reference
+    walk.  The head of the order is tried first; the full order is
+    built only when the walk needs a candidate past the head.
+    """
+    order, ratios, n_candidates = _ordered_candidates(
+        state, head=HEAD_CANDIDATES
+    )
+    pos = _guarded_choice(
+        state, order, guard_feasibility=guard_feasibility, exact_guard=exact_guard
+    )
+    if order.size < n_candidates and (pos is None or pos + 1 == order.size):
+        order, ratios, _ = _ordered_candidates(state)
+        pos = _guarded_choice(
+            state,
+            order,
+            guard_feasibility=guard_feasibility,
+            exact_guard=exact_guard,
+        )
+    return order, ratios, 0 if pos is None else pos, n_candidates
 
 
 @profiled("ssam.selection")
@@ -522,24 +606,22 @@ def columnar_greedy_selection(
     steps: list[GreedyStep] = []
     iteration = 0
     while not state.satisfied:
-        order, ratios = _ordered_candidates(state)
+        order, ratios, chosen_pos, n_candidates = _choose(
+            state,
+            guard_feasibility=guard_feasibility,
+            exact_guard=exact_guard,
+        )
         if _OBS.enabled:
             _OBS.metrics.counter("engine.columnar.candidates_scanned").inc(
-                int(order.size)
+                n_candidates
             )
-        if order.size == 0:
+        if n_candidates == 0:
             if require_feasible:
                 raise InfeasibleInstanceError(
                     f"{state.unmet} demand units cannot be covered by the "
                     "remaining bids"
                 )
             break
-        chosen_pos = _guarded_choice(
-            state,
-            order,
-            guard_feasibility=guard_feasibility,
-            exact_guard=exact_guard,
-        )
         row = int(order[chosen_pos])
         steps.append(
             GreedyStep(
@@ -578,44 +660,41 @@ def _suffix_replay(
     """
     inst = state.inst
     winner_seller = int(inst.seller_rows[winner_row])
-    infinite = inst.bids[winner_row].with_price(math.inf)
     while not state.satisfied:
-        order, ratios = _ordered_candidates(state)
-        winner_utility = (
-            int(state.utilities[winner_row])
-            if state.active[winner_row]
-            else 0
-        )
-        if order.size == 0:
-            if winner_utility > 0:
-                threshold = max(threshold, winner_utility * ceiling)
+        # The winner stays in the market until the loop breaks (its
+        # seller leaves only with a sibling's win), and marginal
+        # utilities only fall: once its utility reaches zero no later
+        # step can raise the threshold.
+        winner_utility = int(state.utilities[winner_row])
+        if winner_utility == 0:
             break
-        chosen_pos = _guarded_choice(
+        order, ratios, chosen_pos, _ = _choose(
             state,
-            order,
             guard_feasibility=guard_feasibility,
             exact_guard=exact_guard,
         )
         row = int(order[chosen_pos])
         if row == winner_row:
-            if winner_utility > 0:
-                threshold = max(threshold, winner_utility * ceiling)
+            threshold = max(threshold, winner_utility * ceiling)
             break
         winner_safe = not guard_feasibility or not state.would_strand(
             winner_row
         )
         if winner_safe and guard_feasibility and exact_guard:
             winner_safe = _residual_feasible(
-                infinite, state.active_bids(), state.coverage_view()
+                inst.bids[winner_row].with_price(math.inf),
+                state.active_bids(),
+                state.coverage_view(),
             )
-        if winner_utility > 0 and winner_safe:
+        if winner_safe:
             threshold = max(
                 threshold, winner_utility * float(ratios[chosen_pos])
             )
         state.apply_win(row)
-        if int(inst.seller_rows[row]) == winner_seller:
+        seller_row = int(inst.seller_rows[row])
+        if seller_row == winner_seller:
             break
-        state.remove_seller(int(inst.seller_rows[row]))
+        state.remove_seller(seller_row)
     return threshold
 
 

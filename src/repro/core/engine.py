@@ -27,8 +27,9 @@ This module provides a drop-in fast path with *bit-identical* results:
   workers; forked on POSIX), falling back to serial execution where a
   pool cannot be used.
 
-Use :func:`repro.api.run_ssam` (``engine="fast"`` is the default) rather
-than calling these directly.
+Select it with ``run_ssam(..., engine="fast")`` (the default engine is
+``"columnar"``, which never opens a process pool) rather than calling
+these directly.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.bids import Bid
+from repro.core.columnar import LayoutCache
 from repro.core.mechanism import resolve_fault_args
 from repro.core.outcomes import OnlineOutcome, RoundResult
 from repro.core.ratios import (
@@ -66,18 +67,19 @@ class MultiStageOnlineAuction:
     payment_rule:
         Forwarded to each round's SSAM run.
     parallelism:
-        Worker processes for each round's critical-payment replays
-        (forwarded to :func:`~repro.core.ssam.run_ssam`).  ``"auto"``
-        (default) sizes the pool per round from the instance; explicit
-        integers are honoured as before.
+        ``engine="fast"`` only: worker processes for each round's
+        critical-payment replays (forwarded to
+        :func:`~repro.core.ssam.run_ssam`).  ``"auto"`` (default) sizes
+        the pool per round from the instance; explicit integers are
+        honoured as before.  The other engines never open a pool.
     guard:
         Whether rounds run with the stranding-lookahead feasibility
         guard (forwarded to :func:`~repro.core.ssam.run_ssam`).
     engine:
-        Selection engine for every round: ``"fast"`` (default,
-        incremental), ``"columnar"`` (numpy-vectorized kernels with
-        round-to-round layout carry), or ``"reference"`` (the naive
-        oracle loop).
+        Selection engine for every round: ``"columnar"`` (default,
+        numpy-vectorized kernels with round-to-round layout carry),
+        ``"fast"`` (incremental, with optional process-parallel
+        payments), or ``"reference"`` (the naive oracle loop).
     columnar_incremental:
         ``engine="columnar"`` only: carry the columnar layout across
         rounds and refresh just the ψ-scaled price column whenever a
@@ -123,7 +125,7 @@ class MultiStageOnlineAuction:
         payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
         parallelism: int | str = "auto",
         guard: bool = True,
-        engine: str = "fast",
+        engine: str = "columnar",
         columnar_incremental: bool = True,
         on_infeasible: str = "raise",
         faults: "FaultPlan | FaultInjector | None" = None,
@@ -152,8 +154,15 @@ class MultiStageOnlineAuction:
             "engine": engine,
         }
         self._on_infeasible = on_infeasible
-        self._columnar_incremental = bool(columnar_incremental)
-        self._columnar_cache = None
+        # On the columnar engine a LayoutCache carries the layout across
+        # rounds: any structural change (capacity exclusions, redrawn
+        # bids, faults, clamped demand) rebuilds, while a round that only
+        # moves ψ-scaled prices refreshes the price column.
+        self._columnar_kwargs = (
+            {"columnar": LayoutCache()}
+            if engine == "columnar" and columnar_incremental
+            else {}
+        )
         self._injector, self._policy = resolve_fault_args(faults, resilience)
         self._carry: dict[int, int] = {}
         self._psi: dict[int, float] = {seller: 0.0 for seller in capacities}
@@ -214,43 +223,6 @@ class MultiStageOnlineAuction:
         """Line 8: ``∇ᵗᵢⱼ = Jᵗᵢⱼ + |Sᵗᵢⱼ|·ψᵢᵗ⁻¹``."""
         return bid.price + bid.size * self._psi.get(bid.seller, 0.0)
 
-    def _columnar_kwargs(self, instance: WSPInstance) -> dict:
-        """The ``columnar=`` forward for a round's :func:`run_ssam` call.
-
-        On the columnar engine with incrementality enabled, the layout
-        built for an earlier round is re-priced in place whenever this
-        round's structure matches it (same bids' sellers/indices/
-        coverage, same positive demand) — ψ only moves prices, so the
-        common case across rounds is a pure price-column refresh.  Any
-        structural change (capacity exclusions, redrawn bids, faults,
-        clamped demand) misses the cache and rebuilds.
-        """
-        if (
-            self._ssam_options["engine"] != "columnar"
-            or not self._columnar_incremental
-        ):
-            return {}
-        from repro.core.columnar import (
-            ColumnarInstance,
-            structure_fingerprint,
-        )
-
-        demand = {b: u for b, u in instance.demand.items() if u > 0}
-        if not demand:
-            return {}
-        fingerprint = structure_fingerprint(instance.bids, demand)
-        cached = self._columnar_cache
-        if cached is not None and cached.fingerprint == fingerprint:
-            prepared = cached.with_bids(instance.bids)
-            if _OBS.enabled:
-                _OBS.metrics.counter("engine.columnar.cache_hits").inc()
-        else:
-            prepared = ColumnarInstance.build(instance.bids, demand)
-            if _OBS.enabled:
-                _OBS.metrics.counter("engine.columnar.cache_misses").inc()
-        self._columnar_cache = prepared
-        return {"columnar": prepared}
-
     def _execute_ssam(
         self,
         instance: WSPInstance,
@@ -273,7 +245,7 @@ class MultiStageOnlineAuction:
                 dict(original_prices) if original_prices is not None else None
             ),
             **self._ssam_options,
-            **self._columnar_kwargs(instance),
+            **self._columnar_kwargs,
         )
 
     @profiled("msoa.round")
@@ -547,7 +519,7 @@ def run_msoa(
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
     parallelism: int | str = "auto",
     guard: bool = True,
-    engine: str = "fast",
+    engine: str = "columnar",
     columnar_incremental: bool = True,
     on_infeasible: str = "raise",
     faults: "FaultPlan | FaultInjector | None" = None,

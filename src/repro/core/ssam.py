@@ -48,7 +48,7 @@ from repro.obs.profiler import profiled
 from repro.obs.runtime import STATE as _OBS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (columnar → ssam)
-    from repro.core.columnar import ColumnarInstance
+    from repro.core.columnar import ColumnarInstance, LayoutCache
 
 __all__ = ["PaymentRule", "run_ssam", "greedy_selection", "GreedyStep"]
 
@@ -342,9 +342,9 @@ def run_ssam(
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
     parallelism: int | str = "auto",
     guard: bool = True,
-    engine: str = "fast",
+    engine: str = "columnar",
     original_prices: dict[tuple[int, int], float] | None = None,
-    columnar: "ColumnarInstance | None" = None,
+    columnar: "ColumnarInstance | LayoutCache | None" = None,
 ) -> AuctionOutcome:
     """Execute the single-stage auction on ``instance``.
 
@@ -355,13 +355,14 @@ def run_ssam(
     payment_rule:
         Which critical-value realization to pay winners with.
     parallelism:
-        Worker processes for the per-winner critical-payment replays
-        (``PaymentRule.CRITICAL_RERUN`` only; the replays are mutually
-        independent).  ``"auto"`` (default) runs serially on small
-        instances and sizes a pool from the instance otherwise (see
-        :func:`repro.core.engine.resolve_parallelism`); an explicit
-        integer forces that worker count (1 = serial), exactly as
-        before.
+        ``engine="fast"`` only: worker processes for the per-winner
+        critical-payment replays (``PaymentRule.CRITICAL_RERUN``; the
+        replays are mutually independent).  ``"auto"`` (default) runs
+        serially on small instances and sizes a pool from the instance
+        otherwise (see :func:`repro.core.engine.resolve_parallelism`); an
+        explicit integer forces that worker count (1 = serial).  The
+        other engines validate it and ignore it: ``columnar`` batches
+        every winner's replay into one serial pass.
     guard:
         Whether the stranding-lookahead feasibility guard steers the
         greedy away from choices that provably dead-end a buyer.  Disable
@@ -369,18 +370,21 @@ def run_ssam(
         :class:`~repro.errors.InfeasibleInstanceError` on feasible
         instances.
     engine:
-        ``"fast"`` (default) runs the incremental
-        :mod:`repro.core.engine` hot path; ``"columnar"`` runs the
-        numpy-vectorized :mod:`repro.core.columnar` kernels (batched
-        critical payments, cheap round-to-round state carry);
-        ``"reference"`` runs the naive rescan-everything loop kept as
-        the correctness oracle.  All three produce identical outcomes
-        (a property test enforces this).
+        ``"columnar"`` (default) runs the numpy-vectorized
+        :mod:`repro.core.columnar` kernels (batched critical payments,
+        cheap round-to-round state carry); ``"fast"`` runs the
+        incremental :mod:`repro.core.engine` path with optional
+        process-parallel payments; ``"reference"`` runs the naive
+        rescan-everything loop kept as the correctness oracle.  All
+        three produce identical outcomes (a property test enforces
+        this).
     columnar:
-        A prebuilt :class:`~repro.core.columnar.ColumnarInstance` for
-        this instance's bids and positive demand (``engine="columnar"``
-        only) — the MSOA incremental path passes its carried, re-priced
-        layout here to skip the structural rebuild.
+        ``engine="columnar"`` only: a prebuilt
+        :class:`~repro.core.columnar.ColumnarInstance` for this
+        instance's bids and positive demand, which skips the layout
+        build, or a :class:`~repro.core.columnar.LayoutCache` to take
+        the layout from (MSOA passes one per auctioneer, so rounds whose
+        structure repeats only refresh the price column).
     original_prices:
         When SSAM runs inside the online framework, bid prices have been
         *scaled*; this maps bid keys back to the announced prices so the
@@ -438,10 +442,13 @@ def run_ssam(
     if engine == "columnar" and demand:
         from repro.core.columnar import (
             ColumnarInstance,
+            LayoutCache,
             columnar_greedy_selection,
         )
 
-        if columnar is not None:
+        if isinstance(columnar, LayoutCache):
+            cinst = columnar.layout(instance.bids, demand)
+        elif columnar is not None:
             if len(columnar.bids) != len(instance.bids):
                 raise ConfigurationError(
                     "columnar layout does not match the instance: "

@@ -80,7 +80,7 @@ def run_msoa_base(
     *,
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
     parallelism: int = 1,
-    engine: str = "fast",
+    engine: str = "columnar",
     on_infeasible: str = "best_effort",
     faults=None,
     resilience=None,
@@ -103,7 +103,7 @@ def run_msoa_da(
     *,
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
     parallelism: int = 1,
-    engine: str = "fast",
+    engine: str = "columnar",
     on_infeasible: str = "best_effort",
     faults=None,
     resilience=None,
@@ -127,7 +127,7 @@ def run_msoa_rc(
     relaxation: float = 2.0,
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
     parallelism: int = 1,
-    engine: str = "fast",
+    engine: str = "columnar",
     on_infeasible: str = "best_effort",
     faults=None,
     resilience=None,
@@ -151,7 +151,7 @@ def run_msoa_oa(
     relaxation: float = 2.0,
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
     parallelism: int = 1,
-    engine: str = "fast",
+    engine: str = "columnar",
     on_infeasible: str = "best_effort",
     faults=None,
     resilience=None,

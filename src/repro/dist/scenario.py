@@ -54,10 +54,10 @@ class DistScenario:
     ...) or ``None`` for the paper's MSOA; ``faults``/``resilience``
     are forwarded to the mechanism exactly as in the synchronous
     platform (they are frozen plans, so sharing one across replays is
-    safe).  ``engine`` selects the clearing engine (``"fast"``,
-    ``"reference"`` or ``"columnar"``) for mechanisms that accept one —
-    outcomes are engine-independent, so the determinism contract holds
-    for every choice.
+    safe).  ``engine`` selects the clearing engine (``"columnar"``, the
+    default, ``"fast"`` or ``"reference"``) for mechanisms that accept
+    one — outcomes are engine-independent, so the determinism contract
+    holds for every choice.
     """
 
     seed: int = 5
@@ -72,7 +72,7 @@ class DistScenario:
     bids_per_seller: int = 2
     unit_cost_range: tuple[float, float] = (10.0, 35.0)
     mechanism: str | None = None
-    engine: str = "fast"
+    engine: str = "columnar"
     shards: int = 1
     shard_strategy: str = "hash"
     faults: object | None = None

@@ -65,7 +65,7 @@ class PlatformConfig:
     speed_per_unit: float = 1.0
     work_mean: float = 1.0
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN
-    engine: str = "fast"
+    engine: str = "columnar"
     shards: int = 1
     shard_strategy: str = "hash"
 

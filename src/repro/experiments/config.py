@@ -45,17 +45,18 @@ class ExperimentConfig:
     capacity_relaxation:
         The Θ inflation factor of the RC/OA variants.
     parallelism:
-        Worker processes for critical-payment replays inside every
-        mechanism run of the sweep (forwarded to ``run_ssam``/``run_msoa``;
-        1 = serial).  ``"auto"`` sizes the pool per instance — serial on
-        small cases, parallel on large ones.
+        ``engine="fast"`` only: worker processes for critical-payment
+        replays inside every mechanism run of the sweep (forwarded to
+        ``run_ssam``/``run_msoa``; 1 = serial).  ``"auto"`` sizes the
+        pool per instance — serial on small cases, parallel on large
+        ones.
     mechanism:
         Registry name of the single-round mechanism the single-stage
         panels (3a/3b/4a) run; ``"ssam"`` reproduces the paper.
     engine:
         Selection engine every mechanism run of the sweep uses where
-        applicable: ``"fast"`` (default), ``"reference"``, or
-        ``"columnar"`` (numpy-vectorized kernels).
+        applicable: ``"columnar"`` (default, numpy-vectorized kernels),
+        ``"fast"``, or ``"reference"``.
     observability:
         Optional :class:`~repro.obs.ObservabilityConfig`; when set, the
         experiment runner activates tracing/metrics before dispatching
@@ -80,7 +81,7 @@ class ExperimentConfig:
     capacity_relaxation: float = 2.0
     parallelism: int | str = 1
     mechanism: str = "ssam"
-    engine: str = "fast"
+    engine: str = "columnar"
     observability: ObservabilityConfig | None = None
     faults: "FaultPlan | None" = None
     resilience: "ResiliencePolicy | None" = None

@@ -117,7 +117,7 @@ def run_sharded_msoa(
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
     parallelism: int | str = "auto",
     guard: bool = True,
-    engine: str = "fast",
+    engine: str = "columnar",
     on_infeasible: str = "raise",
     faults: "FaultPlan | FaultInjector | None" = None,
     resilience: "ResiliencePolicy | None" = None,

@@ -190,7 +190,7 @@ def run_sharded_ssam(
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
     parallelism: int | str = "auto",
     guard: bool = True,
-    engine: str = "fast",
+    engine: str = "columnar",
     original_prices: Mapping[tuple[int, int], float] | None = None,
     shard_workers: int | str = "auto",
     require_feasible: bool = True,

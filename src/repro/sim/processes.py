@@ -182,7 +182,11 @@ class RequestServer:
         return len(self._in_service)
 
     def set_allocation(self, allocation: float, now: float) -> None:
-        """Re-allocate resources (takes effect for future service starts)."""
+        """Re-allocate resources (takes effect for future service starts).
+
+        Requests already in service keep running at their old speed; a
+        shrink below the number of them only delays further starts.
+        """
         if allocation <= 0:
             raise SimulationError(f"allocation must be positive, got {allocation}")
         self._allocation = allocation
@@ -219,8 +223,15 @@ class RequestServer:
         self._try_start(engine)
 
     def _sync_busy_fraction(self, now: float) -> None:
-        """Record the current fraction of busy slots (slot-weighted 𝕃)."""
-        self.stats.set_busy_fraction(now, len(self._in_service) / self.slots)
+        """Record the current fraction of busy slots (slot-weighted 𝕃).
+
+        A shrunken allocation leaves requests admitted under the old one
+        in service until they depart, so those still occupy slots: the
+        denominator is the larger of the slot count and the requests in
+        service.
+        """
+        busy = len(self._in_service)
+        self.stats.set_busy_fraction(now, busy / max(self.slots, busy))
 
     def _next_request(self) -> Request:
         """Dequeue per discipline: FIFO order or earliest deadline first."""

@@ -162,7 +162,8 @@ def certify(
         Market generator knobs (default: a small, probe-friendly market).
     engine:
         Forwarded as the ``engine=`` option to mechanisms that accept it
-        (SSAM's ``fast`` / ``reference`` selection engines).
+        (SSAM's ``columnar`` / ``fast`` / ``reference`` engines;
+        ``None`` keeps the mechanism's default, ``columnar``).
     """
     if instances <= 0:
         raise ConfigurationError(

@@ -66,9 +66,15 @@ class TestValidate:
 
 class TestEntryPoints:
     def test_auto_default_matches_forced_serial(self, market):
-        auto = run_ssam(market, payment_rule=PaymentRule.CRITICAL_RERUN)
+        # parallelism acts only on the fast engine (columnar is the default).
+        auto = run_ssam(
+            market, payment_rule=PaymentRule.CRITICAL_RERUN, engine="fast"
+        )
         serial = run_ssam(
-            market, payment_rule=PaymentRule.CRITICAL_RERUN, parallelism=1
+            market,
+            payment_rule=PaymentRule.CRITICAL_RERUN,
+            engine="fast",
+            parallelism=1,
         )
         assert auto.to_dict() == serial.to_dict()
 

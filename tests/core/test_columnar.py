@@ -18,8 +18,10 @@ from repro.core.bids import Bid
 from repro.core.columnar import (
     ColumnarInstance,
     ColumnarState,
+    LayoutCache,
     columnar_critical_payments,
     columnar_greedy_selection,
+    group_rows,
     structure_fingerprint,
 )
 from repro.core.engine import fast_critical_payment
@@ -75,6 +77,49 @@ class TestBuild:
             ]
             assert sorted(np.flatnonzero(inst.cover[row])) == sorted(cols)
 
+    def test_cover_follows_demand_key_order_and_drops_other_buyers(self):
+        # Demand keys out of id order; buyer 4 is covered but has no
+        # entry in the (positive) demand map, so it has no column.
+        bids = (
+            Bid(seller=11, index=0, covered=frozenset({9, 4}), price=3.0),
+            Bid(seller=12, index=0, covered=frozenset({2, 9}), price=2.0),
+            Bid(seller=13, index=0, covered=frozenset({4}), price=1.0),
+        )
+        inst = ColumnarInstance.build(bids, {9: 1, 2: 2})
+        assert inst.buyers == [9, 2]
+        assert inst.cover.tolist() == [[True, False], [True, True], [False, False]]
+        assert inst.cover_indptr.tolist() == [0, 1, 3, 3]
+        assert inst.cover_cols.tolist() == [0, 0, 1]
+        assert [r.tolist() for r in inst.covering_rows] == [[0, 1], [1]]
+
+    def test_seller_groups_match_per_seller_scan(self, make_instance):
+        # Several bids per seller, seller ids submitted out of order.
+        bids = tuple(
+            Bid(seller=seller, index=index, covered=frozenset({0}), price=1.0)
+            for seller, index in [(7, 0), (3, 0), (7, 1), (5, 0), (3, 1), (7, 2)]
+        )
+        layouts = [
+            ColumnarInstance.build(bids, {0: 1}),
+            ColumnarInstance.build(make_instance(5).bids, make_instance(5).demand),
+        ]
+        for inst in layouts:
+            assert len(inst.seller_bid_rows) == inst.sellers.size
+            for s, rows in enumerate(inst.seller_bid_rows):
+                expected = np.flatnonzero(inst.seller_rows == s)
+                assert rows.tolist() == expected.tolist()
+                assert np.all(np.diff(rows) > 0)
+        assert [r.tolist() for r in layouts[0].seller_bid_rows] == [
+            [1, 4],
+            [3],
+            [0, 2, 5],
+        ]
+
+    def test_group_rows_handles_empty_groups(self):
+        labels = np.array([2, 0, 2, 2, 0], dtype=np.int64)
+        groups = group_rows(labels, 4)
+        assert [g.tolist() for g in groups] == [[1, 4], [], [0, 2, 3], []]
+        assert group_rows(np.empty(0, dtype=np.int64), 0) == []
+
     def test_fingerprint_ignores_prices_only(self):
         instance = tiny_instance()
         repriced = [bid.with_price(bid.price + 1.0) for bid in instance.bids]
@@ -107,6 +152,20 @@ class TestWithBids:
         assert repriced.initial_utilities is inst.initial_utilities
         assert repriced.row_of is inst.row_of
         assert repriced.fingerprint == inst.fingerprint
+
+    def test_layout_cache_refreshes_on_repeat_and_rebuilds_on_change(self):
+        instance = tiny_instance()
+        demand = {0: 2, 1: 1}
+        cache = LayoutCache()
+        first = cache.layout(instance.bids, demand)
+        repriced = [bid.with_price(bid.price + 1.0) for bid in instance.bids]
+        second = cache.layout(repriced, demand)
+        assert second is not first
+        assert second.cover is first.cover
+        assert second.prices.tolist() == [11.0, 7.0, 9.0, 6.0]
+        third = cache.layout(instance.bids, {0: 1, 1: 1})
+        assert third.cover is not first.cover
+        assert third.demand.tolist() == [1, 1]
 
     def test_rejects_length_and_key_mismatches(self):
         instance = tiny_instance()
@@ -175,6 +234,59 @@ class TestEngineDispatch:
 
         with pytest.raises(ConfigurationError, match="engine"):
             run_pay_as_bid(make_instance(), engine="nope")
+
+
+class TestPartialOrder:
+    """Large markets order only the head of each step's candidates.
+
+    Shrinking the head and the size threshold makes every small market
+    take the head path, including its fall-back to the full order
+    (guard rejections through the head, a choice at the head's end).
+    """
+
+    @pytest.mark.parametrize("head", [0, 1, 3])
+    def test_head_path_matches_reference(self, monkeypatch, make_instance, head):
+        import repro.core.columnar as columnar
+
+        monkeypatch.setattr(columnar, "PARTIAL_ORDER_MIN", 0)
+        monkeypatch.setattr(columnar, "HEAD_CANDIDATES", head)
+        for seed in range(25):
+            instance = make_instance(seed, n_sellers=12, n_buyers=4)
+            for rule in PaymentRule:
+                fast = run_ssam(instance, engine="columnar", payment_rule=rule)
+                ref = run_ssam(instance, engine="reference", payment_rule=rule)
+                assert fast.to_dict() == ref.to_dict(), (seed, rule)
+
+    @pytest.mark.parametrize("head", [0, 1])
+    def test_guard_rejecting_the_whole_head_reaches_past_it(
+        self, monkeypatch, head
+    ):
+        import repro.core.columnar as columnar
+        from repro.core.ssam import greedy_selection
+
+        monkeypatch.setattr(columnar, "PARTIAL_ORDER_MIN", 0)
+        monkeypatch.setattr(columnar, "HEAD_CANDIDATES", head)
+        # Seller 10's cheap bid heads the order, but taking it would
+        # strand buyer 1's second unit; the guard must look past it.
+        bids = (
+            Bid(seller=10, index=0, covered=frozenset({1}), price=6.0),
+            Bid(seller=10, index=1, covered=frozenset({2}), price=0.5),
+            Bid(seller=11, index=0, covered=frozenset({1}), price=6.0),
+            Bid(seller=12, index=0, covered=frozenset({2}), price=8.0),
+        )
+        demand = {1: 2, 2: 1}
+        assert columnar_greedy_selection(bids, demand) == greedy_selection(
+            bids, demand
+        )
+
+    def test_large_market_matches_fast_engine(self, make_instance):
+        instance = make_instance(
+            11, n_sellers=400, n_buyers=12, demand_units_range=(1, 3)
+        )
+        assert len(instance.bids) > 256
+        columnar = run_ssam(instance, engine="columnar")
+        fast = run_ssam(instance, engine="fast", parallelism=1)
+        assert columnar.to_dict() == fast.to_dict()
 
 
 class TestBatchedPayments:

@@ -158,9 +158,14 @@ class TestFastCriticalPayment:
 
 class TestRunSsamOptions:
     def test_parallel_run_identical_to_serial(self, market):
-        serial = run_ssam(market, payment_rule=PaymentRule.CRITICAL_RERUN)
+        serial = run_ssam(
+            market, payment_rule=PaymentRule.CRITICAL_RERUN, engine="fast"
+        )
         parallel = run_ssam(
-            market, payment_rule=PaymentRule.CRITICAL_RERUN, parallelism=2
+            market,
+            payment_rule=PaymentRule.CRITICAL_RERUN,
+            engine="fast",
+            parallelism=2,
         )
         assert parallel.to_dict() == serial.to_dict()
 

@@ -164,7 +164,7 @@ class TestMechanismCommands:
     def test_fig_engine_flag_parsed(self):
         args = build_parser().parse_args(["fig", "4a", "--engine", "reference"])
         assert args.engine == "reference"
-        assert build_parser().parse_args(["fig", "4a"]).engine == "fast"
+        assert build_parser().parse_args(["fig", "4a"]).engine == "columnar"
 
     def test_fig_runs_on_reference_engine(self, capsys):
         assert main(["fig", "4a", "--quick", "--engine", "reference"]) == 0

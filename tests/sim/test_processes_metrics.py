@@ -72,6 +72,41 @@ class TestRequestServer:
         assert server.slots == 1
         assert server.speed == pytest.approx(1.5)
 
+    def test_shrink_below_in_service_keeps_busy_fraction_honest(self):
+        # Three requests start under 3 slots; the allocation then drops
+        # to 1 slot while all three are still running.  The departures
+        # that follow must report a busy fraction in [0, 1], and the
+        # queued fourth request starts only once the in-service count
+        # is below the new slot count.
+        engine = SimulationEngine()
+        server = RequestServer(microservice=1, allocation=3.0)
+        engine.register(EventKind.ARRIVAL, server.handle_arrival)
+        engine.register(EventKind.DEPARTURE, server.handle_departure)
+        for request_id, work in enumerate((1.0, 2.0, 3.0, 1.0)):
+            engine.schedule(
+                0.0,
+                EventKind.ARRIVAL,
+                Request(
+                    request_id=request_id,
+                    microservice=1,
+                    user=0,
+                    arrival_time=0.0,
+                    work=work,
+                ),
+            )
+        engine.run_until(0.5)
+        assert server.busy_slots == 3 and server.queue_length == 1
+        server.set_allocation(1.0, now=0.5)
+        engine.run_until(1.5)  # the first departure, two still running
+        assert server.busy_slots == 2 and server.queue_length == 1
+        engine.run_until(10.0)
+        stats = server.stats
+        assert stats.served == 4
+        # The fourth request waited for the third to leave at t=3.
+        assert stats.total_waiting_time == pytest.approx(3.0)
+        # Fully busy from t=0 until the fourth request departs at t=4.
+        assert stats.busy_time == pytest.approx(4.0)
+
     def test_invalid_allocation_rejected(self):
         server = RequestServer(microservice=1, allocation=1.0)
         with pytest.raises(SimulationError):
